@@ -56,7 +56,7 @@ impl StallKind {
 }
 
 /// Per-core statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct CoreStats {
     /// Cycles the core was powered in its current role.
     pub cycles: u64,

@@ -94,7 +94,7 @@ pub struct ExpOpts {
     /// clears it, forcing every unique point to simulate fresh.
     pub use_cache: bool,
     /// Whether runs are also persisted to (and reloaded from)
-    /// [`ExpOpts::cache_dir`] as JSON (`--persist-cache`).
+    /// [`ExpOpts::cache_dir`] as snap frames (`--persist-cache`).
     pub persist_cache: bool,
     /// On-disk cache location (default `<out>/cache`, `--cache-dir DIR`).
     pub cache_dir: PathBuf,

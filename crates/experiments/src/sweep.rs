@@ -18,7 +18,9 @@
 //!   the binaries share an [`ExpOpts`] — which is exactly what the
 //!   `run_all` binary does;
 //! * with `--persist-cache`, results are also written under
-//!   `<out>/cache/` as JSON and reused by later invocations;
+//!   `<out>/cache/` as `bvl_snap` frames (the one result codec, shared
+//!   with the fabric wire and checkpoints) and reused by later
+//!   invocations;
 //! * `--no-cache` forces a cold run: every unique point simulates fresh
 //!   and nothing is read from or written to either cache layer;
 //! * with `--checkpoint-every N`, every in-flight point periodically
@@ -50,11 +52,10 @@
 use crate::ExpOpts;
 use bvl_serve::spec::{PointSpec, WorkloadSpec};
 use bvl_serve::store::ResultStore;
-use bvl_serve::Client;
+use bvl_serve::{run_exact_point, Client, PointRun};
 use bvl_sim::{
-    combine_sampled, plan_sampled, run_sample_window, simulate_traced,
-    simulate_with_stats_resumable, RunResult, SamplePlan, SamplingMeta, SimParams, SysState,
-    SystemKind, WindowMeasurement,
+    combine_sampled, plan_sampled, run_sample_window, simulate_traced, RunResult, SamplePlan,
+    SamplingMeta, SimParams, SystemKind, WindowMeasurement,
 };
 use bvl_workloads::Workload;
 use serde::Serialize;
@@ -358,13 +359,14 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
     }
 
     // Resolve what the cache layers already know.
+    let store = ResultStore::new(&opts.cache_dir);
     let mut slot_results: Vec<Option<RunResult>> = Vec::with_capacity(unique.len());
     for &ji in &unique {
         let mut hit = None;
         if opts.use_cache {
             hit = opts.cache.get(&keys[ji]);
             if hit.is_none() && opts.persist_cache {
-                hit = load_cached(&opts.cache_dir, &keys[ji]);
+                hit = store.load(&keys[ji]);
                 if let Some(ref r) = hit {
                     opts.cache.insert(keys[ji].clone(), r.clone());
                 }
@@ -391,7 +393,7 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
             // runs only — the conservative half of that contract. The
             // point simulates in full on the next cold invocation.
             if opts.persist_cache && !resumed {
-                store_cached(&opts.cache_dir, key, &result);
+                store.store(key, &result);
             }
         }
         slot_results[slot] = Some(result);
@@ -485,6 +487,7 @@ fn run_misses(
         Point(RunResult, bvl_sim::SkipStats, bool, f64),
         Window(WindowMeasurement, f64),
     }
+    let store = ResultStore::new(&opts.cache_dir);
     let outs = run_parallel(&items, opts.jobs, |&(mi, wi)| {
         let ji = unique[misses[mi]];
         let job = &jobs[ji];
@@ -514,8 +517,25 @@ fn run_misses(
                     ItemOut::Point(r, s, false, start.elapsed().as_secs_f64())
                 }
                 None => {
-                    let (r, s, resumed) = run_point(job, &params[ji], &keys[ji], opts);
-                    ItemOut::Point(r, s, resumed, start.elapsed().as_secs_f64())
+                    let out = match run_exact_point(
+                        job.system,
+                        &job.workload,
+                        &params[ji],
+                        &keys[ji],
+                        &store,
+                        opts.resume,
+                        &mut |_| false,
+                    ) {
+                        Ok(PointRun::Finished(out)) => out,
+                        Ok(PointRun::Yielded { .. }) => unreachable!("the callback never yields"),
+                        Err(e) => panic!("{} on {}: {e}", job.workload_key, job.system.label()),
+                    };
+                    let skip = bvl_sim::SkipStats {
+                        edges_run: out.edges_run,
+                        edges_skipped: out.edges_skipped,
+                        windows: 0,
+                    };
+                    ItemOut::Point(out.result, skip, out.resumed, start.elapsed().as_secs_f64())
                 }
             },
         }
@@ -703,72 +723,6 @@ fn report_sampling(key: &str, planned: usize, meta: Option<&SamplingMeta>) {
     }
 }
 
-/// Simulates one deduplicated sweep point, writing periodic checkpoints
-/// when the cadence is armed and — under `--resume` — restarting from a
-/// leftover checkpoint instead of cycle 0. Returns the result, the run's
-/// skip counters, and whether the run actually resumed.
-///
-/// An unresumable checkpoint (undecodable, or fingerprint-mismatched
-/// because the parameters changed since the interrupt) is reported and
-/// ignored: the point restarts from cycle 0 rather than failing the
-/// sweep.
-fn run_point(
-    job: &SweepJob,
-    params: &SimParams,
-    key: &str,
-    opts: &ExpOpts,
-) -> (RunResult, bvl_sim::SkipStats, bool) {
-    let store = ResultStore::new(&opts.cache_dir);
-    let mut save = |state: &SysState| store.store_checkpoint(key, state);
-
-    if opts.resume {
-        if let Some(state) = store.load_checkpoint(key) {
-            match simulate_with_stats_resumable(
-                job.system,
-                &job.workload,
-                params,
-                Some(&state),
-                &mut save,
-            ) {
-                Ok((r, s)) => {
-                    store.remove_checkpoint(key);
-                    return (r, s, true);
-                }
-                Err(e) => eprintln!(
-                    "{key}: checkpoint at cycle {} not resumable ({e}); \
-                     restarting from cycle 0",
-                    state.uncore_cycle()
-                ),
-            }
-        }
-    }
-    match simulate_with_stats_resumable(job.system, &job.workload, params, None, &mut save) {
-        Ok((r, s)) => {
-            store.remove_checkpoint(key);
-            (r, s, false)
-        }
-        Err(e) => panic!("{} on {}: {e}", job.workload_key, job.system.label()),
-    }
-}
-
-// --- disk persistence -----------------------------------------------------
-//
-// The on-disk format (one JSON file per cache key, checkpoint blobs
-// under `ckpt/`) is owned by `bvl_serve::store::ResultStore` — one
-// implementation serves the in-process sweep, the fabric daemon and its
-// worker processes, so all three read and write interchangeable files
-// and legacy-format entries decode as misses everywhere at once.
-
-use std::path::Path;
-
-fn load_cached(dir: &Path, key: &str) -> Option<RunResult> {
-    ResultStore::new(dir).load(key)
-}
-
-fn store_cached(dir: &Path, key: &str, result: &RunResult) {
-    ResultStore::new(dir).store(key, result);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -776,8 +730,6 @@ mod tests {
     use bvl_mem::MemStats;
     use bvl_obs::StatsSnapshot;
     use bvl_runtime::RuntimeStats;
-    use bvl_serve::store::{run_result_from_value, run_result_to_value};
-    use serde_json::Value;
 
     fn sample_result() -> RunResult {
         RunResult {
@@ -818,19 +770,28 @@ mod tests {
     }
 
     #[test]
-    fn run_result_round_trips_through_json() {
-        let r = sample_result();
-        let text = serde_json::to_string_pretty(&run_result_to_value(&r)).unwrap();
-        let back = run_result_from_value(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn run_result_none_fields_round_trip() {
-        let r = RunResult::default();
-        let text = serde_json::to_string_pretty(&run_result_to_value(&r)).unwrap();
-        let back = run_result_from_value(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
+    fn run_results_round_trip_through_the_store() {
+        let mut sampled = sample_result();
+        sampled.sampling = Some(SamplingMeta {
+            period_instrs: 4096,
+            window_instrs: 1024,
+            total_instrs: 123_456,
+            windows_measured: 30,
+            windows_truncated: 1,
+            ci_halfwidth_ns: 345.5,
+            exact_fallback: false,
+        });
+        let dir = std::env::temp_dir().join(format!("bvl-sweep-store-{}", std::process::id()));
+        let store = ResultStore::new(&dir);
+        for (key, r) in [
+            ("full", sample_result()),
+            ("sampled", sampled),
+            ("default", RunResult::default()),
+        ] {
+            store.store(key, &r);
+            assert_eq!(store.load(key), Some(r), "{key} entry did not round-trip");
+        }
+        fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
@@ -892,35 +853,6 @@ mod tests {
             "checkpoint cadence and tracing leave results byte-identical, \
              so they must not fork the cache"
         );
-    }
-
-    #[test]
-    fn run_result_sampling_meta_round_trips() {
-        let mut r = sample_result();
-        r.sampling = Some(SamplingMeta {
-            period_instrs: 4096,
-            window_instrs: 1024,
-            total_instrs: 123_456,
-            windows_measured: 30,
-            windows_truncated: 1,
-            ci_halfwidth_ns: 345.5,
-            exact_fallback: false,
-        });
-        let text = serde_json::to_string_pretty(&run_result_to_value(&r)).unwrap();
-        let back = run_result_from_value(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn legacy_cache_entry_without_sampling_is_a_miss() {
-        // A cache file written before sampled simulation existed has no
-        // `sampling` entry at all; it must decode as a miss (re-simulate),
-        // not silently as an exact result.
-        let mut v = run_result_to_value(&sample_result());
-        if let Value::Map(entries) = &mut v {
-            entries.retain(|(k, _)| k != "sampling");
-        }
-        assert!(run_result_from_value(&v).is_none());
     }
 
     #[test]

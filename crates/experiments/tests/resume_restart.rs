@@ -18,6 +18,7 @@
 
 use bvl_experiments::sweep::{run_sweep, SweepJob};
 use bvl_experiments::{ExpOpts, ARTIFACTS};
+use bvl_serve::ResultStore;
 use bvl_sim::{simulate_with_stats_resumable, SimParams, SysState, SystemKind};
 use bvl_workloads::{kernels, Scale};
 use std::collections::BTreeMap;
@@ -143,7 +144,8 @@ fn mid_run_checkpoint_resumes_the_tail_and_is_not_persisted() {
         })
         .expect("straight run");
     let planted = last.expect("run crossed no checkpoint boundary — lower the cadence");
-    let ckpt = out.join("cache").join("ckpt").join(format!("{key}.snap"));
+    let store = ResultStore::new(out.join("cache"));
+    let ckpt = store.ckpt_path(&key);
     fs::create_dir_all(ckpt.parent().unwrap()).expect("create ckpt dir");
     fs::write(&ckpt, planted.to_bytes()).expect("plant checkpoint");
 
@@ -168,17 +170,17 @@ fn mid_run_checkpoint_resumes_the_tail_and_is_not_persisted() {
     // persisted — results/cache records straight-through runs only.
     assert!(!ckpt.exists(), "consumed checkpoint still on disk");
     assert!(
-        !opts.cache_dir.join(format!("{key}.json")).exists(),
+        !store.result_path(&key).exists(),
         "checkpoint-restored run leaked into the persisted memo cache"
     );
 
-    // A later cold invocation finds no checkpoint and no JSON: it
+    // A later cold invocation finds no checkpoint and no entry: it
     // simulates straight through and only then persists.
     let opts2 = resumable_opts(&out).with_jobs(1);
     let again = run_sweep(&[job()], &opts2);
     assert_eq!(again[0], straight);
     assert_eq!(opts2.throughput.snapshot().sim_cycles(), full_edges);
-    assert!(opts2.cache_dir.join(format!("{key}.json")).exists());
+    assert!(store.result_path(&key).exists());
 
     fs::remove_dir_all(&out).expect("cleanup");
 }

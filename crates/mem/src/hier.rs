@@ -87,7 +87,7 @@ impl HierConfig {
 }
 
 /// Aggregated hierarchy statistics (inputs to Figures 5, 6).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct MemStats {
     /// Instruction-fetch requests entering the L1 level.
     pub ifetch_reqs: u64,

@@ -235,7 +235,16 @@ impl StatsSnapshot {
     }
 }
 
-/// Order-preserving binary codec for the sweep-fabric wire protocol.
+/// JSON view for `bvl-client` output: `[[path, value], ...]` in
+/// registration order.
+impl serde::Serialize for StatsSnapshot {
+    fn to_content(&self) -> serde::Content {
+        serde::Serialize::to_content(&self.entries)
+    }
+}
+
+/// Order-preserving binary codec for the sweep-fabric wire protocol and
+/// the result store's entries.
 ///
 /// Entries round-trip in registration order so a decoded snapshot is
 /// `Eq`-identical to the original (the fabric's byte-identity contract).

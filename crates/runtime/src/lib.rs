@@ -72,7 +72,7 @@ impl Default for RuntimeParams {
 }
 
 /// Runtime statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct RuntimeStats {
     /// Tasks executed.
     pub tasks_run: u64,

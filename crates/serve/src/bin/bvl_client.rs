@@ -8,11 +8,10 @@
 //! bvl-client ADDR --shutdown [--secret-file F]
 //! ```
 //!
-//! The result prints as the same JSON object the disk cache stores, so
-//! `bvl-client | jq` composes with the sweep's artifacts. `--stats`
-//! prints the daemon's utilization line.
+//! The result prints as a JSON object with one key per `RunResult`
+//! field (stats as `[path, value]` pairs), so `bvl-client | jq` works.
+//! `--stats` prints the daemon's utilization line.
 
-use bvl_serve::store::run_result_to_value;
 use bvl_serve::{auth, Client, PointSpec, Priority, WorkloadSpec};
 use bvl_sim::{SamplingParams, SimParams, SystemKind};
 use bvl_workloads::Scale;
@@ -152,8 +151,7 @@ fn main() -> ExitCode {
     match client.run_points(std::slice::from_ref(&spec)) {
         Ok(results) => {
             let r = &results[0];
-            let text = serde_json::to_string_pretty(&run_result_to_value(&r.result))
-                .expect("encode result");
+            let text = serde_json::to_string_pretty(&r.result).expect("encode result");
             println!("{text}");
             eprintln!(
                 "cache_hit={} resumed={} host_secs={:.3}",

@@ -1,5 +1,5 @@
-//! The content-addressed result store: one JSON file per cache key, plus
-//! the checkpoint-blob side store — shared by the in-process sweep
+//! The content-addressed result store: one snap frame per cache key,
+//! plus the checkpoint-blob side store — shared by the in-process sweep
 //! runner, the fabric daemon, and every worker process.
 //!
 //! This is the PR-1 disk cache, promoted out of the experiments crate so
@@ -11,11 +11,14 @@
 //!   tracing) are zeroed before hashing because their on/off state leaves
 //!   results byte-identical; the sampling configuration is *kept*, so a
 //!   sampled estimate can never alias an exact result.
-//! * **Entries.** Hand-rolled `serde_json::Value` encoding (no derived
-//!   deserializers across bvl-core/mem/runtime). Unreadable files and
-//!   files from older format generations — pre-stats-snapshot (PR-4) and
-//!   pre-sampling (PR-6) entries lack those keys — decode as **misses**,
-//!   never errors: the point just re-simulates.
+//! * **Entries.** `<dir>/<key>.snap`: the [`RunResult`] in its `bvl_snap`
+//!   encoding inside a [`bvl_snap::frame`] — the same codec the fabric
+//!   wire and the checkpoints use, so there is one codec for all three.
+//!   Anything [`bvl_snap::from_framed`] rejects (truncation, a bad
+//!   checksum, another `SNAP_VERSION`, duplicate stats paths, trailing
+//!   bytes) is a **miss**, never an error: the point just re-simulates.
+//!   Entries from the older JSON generation (`<key>.json`) are never
+//!   read.
 //! * **Writes.** Unique-temp-file + rename. Multiple fabric workers (and
 //!   a daemon) share one store directory, so a plain `fs::write` could
 //!   expose a torn half-written entry to a concurrent reader; the rename
@@ -26,12 +29,7 @@
 //!   undecodable blob is a miss (restart from cycle 0), reusing the PR-5
 //!   `SnapError` paths.
 
-use bvl_core::types::CoreStats;
-use bvl_mem::MemStats;
-use bvl_obs::StatsSnapshot;
-use bvl_runtime::RuntimeStats;
-use bvl_sim::{RunResult, SamplingMeta, SimParams, SysState, SystemKind};
-use serde_json::Value;
+use bvl_sim::{RunResult, SimParams, SysState, SystemKind};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -85,7 +83,7 @@ impl ResultStore {
 
     /// Where `key`'s result entry lives.
     pub fn result_path(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{key}.json"))
+        self.dir.join(format!("{key}.snap"))
     }
 
     /// Where the daemon's persistent admission-queue journal lives
@@ -96,26 +94,24 @@ impl ResultStore {
     }
 
     /// Where `key`'s in-flight checkpoint blob lives. Kept in a
-    /// subdirectory so result JSONs and checkpoint blobs cannot collide,
-    /// and so resumption can tell "completed" (JSON present) from
+    /// subdirectory so result entries and checkpoint blobs cannot collide,
+    /// and so resumption can tell "completed" (entry present) from
     /// "interrupted" (blob present) at a glance.
     pub fn ckpt_path(&self, key: &str) -> PathBuf {
         self.dir.join("ckpt").join(format!("{key}.snap"))
     }
 
     /// Loads `key`'s result if present and decodable. Anything else —
-    /// no file, torn bytes, a legacy format generation — is a miss.
+    /// no file, torn or corrupt bytes, another format version — is a
+    /// miss.
     pub fn load(&self, key: &str) -> Option<RunResult> {
-        let text = fs::read_to_string(self.result_path(key)).ok()?;
-        run_result_from_value(&serde_json::from_str(&text).ok()?)
+        bvl_snap::from_framed(&fs::read(self.result_path(key)).ok()?).ok()
     }
 
     /// Persists `key`'s result atomically (unique temp file + rename).
     pub fn store(&self, key: &str, result: &RunResult) {
         fs::create_dir_all(&self.dir).expect("create cache dir");
-        let path = self.result_path(key);
-        let text = serde_json::to_string_pretty(&run_result_to_value(result)).expect("encode");
-        write_atomic(&path, text.as_bytes());
+        write_atomic(&self.result_path(key), &bvl_snap::to_framed(result));
     }
 
     /// Persists a checkpoint blob for `key` atomically, so an interrupt
@@ -164,220 +160,4 @@ fn write_atomic(path: &Path, bytes: &[u8]) {
     let tmp = path.with_file_name(name);
     fs::write(&tmp, bytes).unwrap_or_else(|e| panic!("write {}: {e}", tmp.display()));
     fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {}: {e}", path.display()));
-}
-
-// --- the JSON entry codec -------------------------------------------------
-
-fn map(entries: Vec<(&str, Value)>) -> Value {
-    Value::Map(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn core_stats_to_value(c: &CoreStats) -> Value {
-    map(vec![
-        ("cycles", Value::U64(c.cycles)),
-        ("retired", Value::U64(c.retired)),
-        ("fetch_groups", Value::U64(c.fetch_groups)),
-        (
-            "breakdown",
-            Value::Seq(c.breakdown.iter().map(|&x| Value::U64(x)).collect()),
-        ),
-        ("branches", Value::U64(c.branches)),
-        ("mispredicts", Value::U64(c.mispredicts)),
-    ])
-}
-
-fn core_stats_from_value(v: &Value) -> Option<CoreStats> {
-    let breakdown_list = v.get("breakdown")?.as_array()?;
-    let mut breakdown = [0u64; 7];
-    if breakdown_list.len() != breakdown.len() {
-        return None;
-    }
-    for (slot, item) in breakdown.iter_mut().zip(breakdown_list) {
-        *slot = item.as_u64()?;
-    }
-    Some(CoreStats {
-        cycles: v.get("cycles")?.as_u64()?,
-        retired: v.get("retired")?.as_u64()?,
-        fetch_groups: v.get("fetch_groups")?.as_u64()?,
-        breakdown,
-        branches: v.get("branches")?.as_u64()?,
-        mispredicts: v.get("mispredicts")?.as_u64()?,
-    })
-}
-
-fn mem_stats_to_value(m: &MemStats) -> Value {
-    map(vec![
-        ("ifetch_reqs", Value::U64(m.ifetch_reqs)),
-        ("data_reqs", Value::U64(m.data_reqs)),
-        ("l2_reqs", Value::U64(m.l2_reqs)),
-        ("dve_reqs", Value::U64(m.dve_reqs)),
-        ("vmu_reqs", Value::U64(m.vmu_reqs)),
-        ("coherence_msgs", Value::U64(m.coherence_msgs)),
-        ("line_migrations", Value::U64(m.line_migrations)),
-    ])
-}
-
-fn mem_stats_from_value(v: &Value) -> Option<MemStats> {
-    Some(MemStats {
-        ifetch_reqs: v.get("ifetch_reqs")?.as_u64()?,
-        data_reqs: v.get("data_reqs")?.as_u64()?,
-        l2_reqs: v.get("l2_reqs")?.as_u64()?,
-        dve_reqs: v.get("dve_reqs")?.as_u64()?,
-        vmu_reqs: v.get("vmu_reqs")?.as_u64()?,
-        coherence_msgs: v.get("coherence_msgs")?.as_u64()?,
-        line_migrations: v.get("line_migrations")?.as_u64()?,
-    })
-}
-
-fn runtime_stats_to_value(r: &RuntimeStats) -> Value {
-    map(vec![
-        ("tasks_run", Value::U64(r.tasks_run)),
-        ("steals", Value::U64(r.steals)),
-        ("failed_steals", Value::U64(r.failed_steals)),
-        ("overhead_cycles", Value::U64(r.overhead_cycles)),
-    ])
-}
-
-fn runtime_stats_from_value(v: &Value) -> Option<RuntimeStats> {
-    Some(RuntimeStats {
-        tasks_run: v.get("tasks_run")?.as_u64()?,
-        steals: v.get("steals")?.as_u64()?,
-        failed_steals: v.get("failed_steals")?.as_u64()?,
-        overhead_cycles: v.get("overhead_cycles")?.as_u64()?,
-    })
-}
-
-fn opt_to_value(v: Option<Value>) -> Value {
-    v.unwrap_or(Value::Null)
-}
-
-fn sampling_meta_to_value(s: &SamplingMeta) -> Value {
-    map(vec![
-        ("period_instrs", Value::U64(s.period_instrs)),
-        ("window_instrs", Value::U64(s.window_instrs)),
-        ("total_instrs", Value::U64(s.total_instrs)),
-        ("windows_measured", Value::U64(s.windows_measured)),
-        ("windows_truncated", Value::U64(s.windows_truncated)),
-        ("ci_halfwidth_ns", Value::F64(s.ci_halfwidth_ns)),
-        ("exact_fallback", Value::Bool(s.exact_fallback)),
-    ])
-}
-
-fn sampling_meta_from_value(v: &Value) -> Option<SamplingMeta> {
-    Some(SamplingMeta {
-        period_instrs: v.get("period_instrs")?.as_u64()?,
-        window_instrs: v.get("window_instrs")?.as_u64()?,
-        total_instrs: v.get("total_instrs")?.as_u64()?,
-        windows_measured: v.get("windows_measured")?.as_u64()?,
-        windows_truncated: v.get("windows_truncated")?.as_u64()?,
-        ci_halfwidth_ns: v.get("ci_halfwidth_ns")?.as_f64()?,
-        exact_fallback: v.get("exact_fallback")?.as_bool()?,
-    })
-}
-
-fn snapshot_to_value(s: &StatsSnapshot) -> Value {
-    Value::Seq(
-        s.iter()
-            .map(|(p, v)| Value::Seq(vec![Value::Str(p.to_string()), Value::U64(v)]))
-            .collect(),
-    )
-}
-
-fn snapshot_from_value(v: &Value) -> Option<StatsSnapshot> {
-    let entries = v
-        .as_array()?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_array()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            Some((pair[0].as_str()?.to_string(), pair[1].as_u64()?))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    // A corrupted (or crafted) entry with duplicate stats paths must be a
-    // miss — `StatsSnapshot::from_entries` treats duplicates as an
-    // in-process wiring bug and panics, which is the wrong failure mode
-    // for bytes read off a shared disk.
-    let mut seen = std::collections::HashSet::with_capacity(entries.len());
-    if !entries.iter().all(|(p, _)| seen.insert(p.clone())) {
-        return None;
-    }
-    Some(StatsSnapshot::from_entries(entries))
-}
-
-/// Encodes a [`RunResult`] as the store's JSON entry shape.
-pub fn run_result_to_value(r: &RunResult) -> Value {
-    map(vec![
-        ("wall_ns", Value::F64(r.wall_ns)),
-        ("uncore_cycles", Value::U64(r.uncore_cycles)),
-        ("big", opt_to_value(r.big.as_ref().map(core_stats_to_value))),
-        (
-            "littles",
-            Value::Seq(r.littles.iter().map(core_stats_to_value).collect()),
-        ),
-        (
-            "lanes",
-            Value::Seq(r.lanes.iter().map(core_stats_to_value).collect()),
-        ),
-        ("fetch_groups", Value::U64(r.fetch_groups)),
-        ("mem", mem_stats_to_value(&r.mem)),
-        (
-            "runtime",
-            opt_to_value(r.runtime.as_ref().map(runtime_stats_to_value)),
-        ),
-        ("stats", snapshot_to_value(&r.stats)),
-        (
-            "sampling",
-            opt_to_value(r.sampling.as_ref().map(sampling_meta_to_value)),
-        ),
-    ])
-}
-
-/// Decodes a store entry. `None` — a miss — for any structural problem,
-/// including entries written by older format generations:
-/// pre-stats-snapshot files (PR-4) lack the `stats` key, pre-sampling
-/// files (PR-6) lack the `sampling` key, and both must re-simulate
-/// rather than guess.
-pub fn run_result_from_value(v: &Value) -> Option<RunResult> {
-    let opt_core = |v: &Value| -> Option<Option<CoreStats>> {
-        if v.is_null() {
-            Some(None)
-        } else {
-            core_stats_from_value(v).map(Some)
-        }
-    };
-    let core_list = |v: &Value| -> Option<Vec<CoreStats>> {
-        v.as_array()?.iter().map(core_stats_from_value).collect()
-    };
-    Some(RunResult {
-        wall_ns: v.get("wall_ns")?.as_f64()?,
-        uncore_cycles: v.get("uncore_cycles")?.as_u64()?,
-        big: opt_core(v.get("big")?)?,
-        littles: core_list(v.get("littles")?)?,
-        lanes: core_list(v.get("lanes")?)?,
-        fetch_groups: v.get("fetch_groups")?.as_u64()?,
-        mem: mem_stats_from_value(v.get("mem")?)?,
-        runtime: if v.get("runtime")?.is_null() {
-            None
-        } else {
-            Some(runtime_stats_from_value(v.get("runtime")?)?)
-        },
-        // Files from before the stats snapshot existed lack this entry and
-        // decode as misses, which re-simulates — exactly right.
-        stats: snapshot_from_value(v.get("stats")?)?,
-        // Same migration path: files from before sampled simulation
-        // existed lack the `sampling` entry entirely and decode as
-        // misses, re-simulating rather than guessing they were exact.
-        sampling: if v.get("sampling")?.is_null() {
-            None
-        } else {
-            Some(sampling_meta_from_value(v.get("sampling")?)?)
-        },
-    })
 }

@@ -1,12 +1,15 @@
-//! Point execution, shared by both worker tiers.
+//! Point execution, shared by both worker tiers and the in-process sweep.
 //!
-//! [`run_one_point`] is the single code path a fabric worker — an
-//! in-daemon thread or a spawned worker process — uses to execute one
-//! experiment point. It always attempts to resume from a persisted
-//! checkpoint first (that is what makes worker death and eviction cheap:
-//! whoever picks the point up next continues from the last blob), writes
-//! a fresh blob at every checkpoint boundary, and can yield mid-run when
-//! the scheduler asks.
+//! [`run_exact_point`] is the one checkpointed runner for an exact point:
+//! optionally resume from the store's persisted checkpoint, write a fresh
+//! blob at every checkpoint boundary, and yield mid-run when the caller
+//! asks. [`run_one_point`] is what a fabric worker — an in-daemon thread
+//! or a spawned worker process — calls on a wire spec: it rebuilds the
+//! workload, runs sampled points serially, and hands exact points to the
+//! runner with resume always on (that is what makes worker death and
+//! eviction cheap: whoever picks the point up next continues from the
+//! last blob). The in-process sweep calls the runner directly, resuming
+//! only under `--resume` and never yielding.
 //!
 //! [`worker_main`] is the process-tier entry: connect back to the
 //! daemon, say hello on a main and a control connection, then loop
@@ -16,7 +19,11 @@
 use crate::proto::{self, Msg, ProtoError, EVICT_BYTE};
 use crate::spec::PointSpec;
 use crate::store::ResultStore;
-use bvl_sim::{simulate_preemptible, simulate_sampled, CkptControl, RunResult, SimOutcome};
+use bvl_sim::{
+    simulate_preemptible, simulate_sampled, CkptControl, RunResult, SimOutcome, SimParams,
+    SysState, SystemKind,
+};
+use bvl_workloads::Workload;
 use std::io::{self, Read};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -39,7 +46,7 @@ pub struct PointOutcome {
     pub restarted_from_zero: bool,
 }
 
-/// How one [`run_one_point`] call ended.
+/// How one [`run_one_point`] or [`run_exact_point`] call ended.
 #[derive(Debug)]
 pub enum PointRun {
     /// Ran to completion.
@@ -52,15 +59,12 @@ pub enum PointRun {
     },
 }
 
-/// Executes one point against `store`.
+/// Executes one wire-spec point against `store`.
 ///
-/// `on_checkpoint(cycle)` fires after each checkpoint blob is persisted;
-/// returning `true` orders a yield at that very checkpoint. Exact points
-/// resume from any existing blob for their key — an unusable blob is
-/// reported and the point restarts from cycle 0 (the PR-5 `SnapError`
-/// miss path), never fails. Sampled points (params carry a sampling
-/// config) run the serial sampled pipeline, which has no mid-run
-/// checkpoint to yield at; a killed worker simply re-runs them.
+/// Sampled points (params carry a sampling config) run the serial sampled
+/// pipeline, which has no mid-run checkpoint to yield at; a killed worker
+/// simply re-runs them. Exact points go to [`run_exact_point`] with
+/// resume on.
 ///
 /// # Errors
 ///
@@ -71,26 +75,60 @@ pub fn run_one_point(
     store: &ResultStore,
     on_checkpoint: &mut dyn FnMut(u64) -> bool,
 ) -> Result<PointRun, String> {
-    let key = spec.key();
     let workload = spec.workload.build()?;
     let params = &spec.params;
-
-    if params.sampling.is_some() {
-        let start = Instant::now();
-        let (result, skip) = simulate_sampled(spec.system, &workload, params)?;
-        return Ok(PointRun::Finished(Box::new(PointOutcome {
-            result,
-            edges_run: skip.edges_run,
-            edges_skipped: skip.edges_skipped,
-            host_secs: start.elapsed().as_secs_f64(),
-            resumed: false,
-            restarted_from_zero: false,
-        })));
+    if params.sampling.is_none() {
+        let key = spec.key();
+        return run_exact_point(
+            spec.system,
+            &workload,
+            params,
+            &key,
+            store,
+            true,
+            on_checkpoint,
+        );
     }
-
     let start = Instant::now();
-    let mut save = |state: &bvl_sim::SysState| {
-        store.store_checkpoint(&key, state);
+    let (result, skip) = simulate_sampled(spec.system, &workload, params)?;
+    Ok(PointRun::Finished(Box::new(PointOutcome {
+        result,
+        edges_run: skip.edges_run,
+        edges_skipped: skip.edges_skipped,
+        host_secs: start.elapsed().as_secs_f64(),
+        resumed: false,
+        restarted_from_zero: false,
+    })))
+}
+
+/// Simulates one exact point whose checkpoints live in `store` under
+/// `key`.
+///
+/// With `resume`, the run continues from any persisted blob for `key`;
+/// an unusable blob (undecodable, or fingerprint-mismatched because the
+/// parameters changed) is reported and the point restarts from cycle 0
+/// (the `SnapError` miss path) — it never fails. Whenever
+/// `params.checkpoint_every` is armed, each checkpoint is persisted and
+/// then `on_checkpoint(cycle)` fires; returning `true` orders a yield at
+/// that very checkpoint. A finished run deletes its blob. The result
+/// entry itself is the caller's to store: only the caller knows whether
+/// a resumed result may be persisted.
+///
+/// # Errors
+///
+/// Simulation failures (budget exceeded, output check failed).
+pub fn run_exact_point(
+    system: SystemKind,
+    workload: &Workload,
+    params: &SimParams,
+    key: &str,
+    store: &ResultStore,
+    resume: bool,
+    on_checkpoint: &mut dyn FnMut(u64) -> bool,
+) -> Result<PointRun, String> {
+    let start = Instant::now();
+    let mut save = |state: &SysState| {
+        store.store_checkpoint(key, state);
         if on_checkpoint(state.uncore_cycle()) {
             CkptControl::Yield
         } else {
@@ -99,9 +137,9 @@ pub fn run_one_point(
     };
 
     let mut restarted_from_zero = false;
-    if let Some(state) = store.load_checkpoint(&key) {
-        match simulate_preemptible(spec.system, &workload, params, Some(&state), &mut save) {
-            Ok(out) => return Ok(finish(out, store, &key, start, true, false)),
+    if let Some(state) = resume.then(|| store.load_checkpoint(key)).flatten() {
+        match simulate_preemptible(system, workload, params, Some(&state), &mut save) {
+            Ok(out) => return Ok(finish(out, store, key, start, true, false)),
             Err(e) => {
                 eprintln!(
                     "{key}: checkpoint at cycle {} not resumable ({e}); \
@@ -112,8 +150,8 @@ pub fn run_one_point(
             }
         }
     }
-    let out = simulate_preemptible(spec.system, &workload, params, None, &mut save)?;
-    Ok(finish(out, store, &key, start, false, restarted_from_zero))
+    let out = simulate_preemptible(system, workload, params, None, &mut save)?;
+    Ok(finish(out, store, key, start, false, restarted_from_zero))
 }
 
 fn finish(

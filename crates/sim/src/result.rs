@@ -10,7 +10,7 @@ use bvl_snap::snap_struct;
 ///
 /// `PartialEq` compares every field (including exact `wall_ns` bits) so the
 /// sweep harness can assert run-to-run and parallel-vs-serial determinism.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct RunResult {
     /// Wall-clock time in nanoseconds (the cross-frequency metric).
     pub wall_ns: f64,
@@ -40,10 +40,12 @@ pub struct RunResult {
     pub sampling: Option<SamplingMeta>,
 }
 
-// Wire encoding for the sweep fabric. `wall_ns` (and the CI half-width)
-// travel as IEEE-754 bit patterns, so a result relayed through the daemon
-// is `PartialEq`-identical to one computed in-process — the fabric's
-// byte-identity acceptance test depends on this.
+// The one binary codec for results: the fabric wire and the result
+// store's entries both carry this encoding. `wall_ns` (and the CI
+// half-width) travel as IEEE-754 bit patterns, so a result relayed
+// through the daemon or reloaded from disk is `PartialEq`-identical to
+// one computed in-process — the byte-identity acceptance tests depend on
+// this.
 snap_struct!(RunResult {
     wall_ns,
     uncore_cycles,
@@ -58,7 +60,7 @@ snap_struct!(RunResult {
 });
 
 /// How a sampled run's estimate was produced, carried on [`RunResult`].
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct SamplingMeta {
     /// Instruction distance between window starts.
     pub period_instrs: u64,
