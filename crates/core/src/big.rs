@@ -12,6 +12,18 @@
 //! engine responds. `vmfence` blocks at the head until all older scalar
 //! memory operations have retired *and* the engine reports its memory
 //! pipeline drained (section III-B).
+//!
+//! Scheduling is event-driven. Besides the ROB the core keeps four short
+//! lists derived from it (see `Sched`): the `Waiting` entries, the
+//! `Executing` entries with their completion cycles, the loads in flight
+//! by memory id, and the line of every scalar store still in the ROB.
+//! Issue, the completion sweep, memory responses, the store→load ordering
+//! check and the skip planner's [`BigCore::quiescence`] walk these lists
+//! instead of the whole ROB: on average the ROB holds tens of entries, of
+//! which a handful wait and at most a few execute. The lists are updated
+//! at dispatch, issue, completion, memory response and commit; they are
+//! not checkpointed but rebuilt from the ROB on restore, and debug builds
+//! check them against a fresh rebuild after every tick.
 
 use crate::fetch::FetchUnit;
 use crate::types::{CoreStats, Quiescence, StallKind, VecCmd, VectorEngine};
@@ -24,7 +36,7 @@ use bvl_isa::reg::NUM_REGS;
 use bvl_isa::Machine;
 use bvl_mem::{AccessKind, MemHierarchy, MemReq, PortId, SharedMem};
 use bvl_snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Big-core configuration (paper Table II class: 4-wide OoO).
@@ -120,6 +132,53 @@ struct RobEntry {
     deps: Deps,
 }
 
+/// The scheduler's view of the ROB: every entry the issue stage, the
+/// completion sweep or a memory response can act on, so no per-cycle stage
+/// walks the whole ROB. Each list is derived state — [`Sched::rebuild`]
+/// recomputes it from the ROB alone — and entries are ROB seqs, found at
+/// ROB index `seq - front.seq` since seqs are contiguous.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Sched {
+    /// Seqs of the `Waiting` entries, oldest first (the issue order).
+    waiting: Vec<u64>,
+    /// `(done, seq)` of the `Executing` entries, in issue order.
+    executing: Vec<(u64, u64)>,
+    /// `(mem id, seq)` of the loads in flight (`WaitMem`); at most
+    /// `load_queue` of them.
+    loads: Vec<(u64, u64)>,
+    /// `(seq, line address)` of the scalar stores in the ROB, oldest first:
+    /// a load may not issue past an older store to its line.
+    store_lines: VecDeque<(u64, u64)>,
+}
+
+impl Sched {
+    /// Recomputes every list from `rob`, in ROB order.
+    fn rebuild(rob: &VecDeque<RobEntry>, line_mask: u64) -> Sched {
+        let mut s = Sched::default();
+        for e in rob {
+            match e.state {
+                EState::Waiting => s.waiting.push(e.seq),
+                EState::Executing(done) => s.executing.push((done, e.seq)),
+                EState::WaitMem(id) => s.loads.push((id, e.seq)),
+                _ => {}
+            }
+            if e.is_store {
+                s.store_lines
+                    .push_back((e.seq, e.info.mem[0].addr & line_mask));
+            }
+        }
+        s
+    }
+}
+
+/// Issue slots left in the current cycle.
+struct Slots {
+    alu: u32,
+    fpu: u32,
+    mem: u32,
+    issued: u32,
+}
+
 /// The out-of-order big core timing model.
 pub struct BigCore {
     params: BigParams,
@@ -131,13 +190,15 @@ pub struct BigCore {
     rob: VecDeque<RobEntry>,
     next_seq: u64,
     /// Latest in-flight producer of each register (`seq + 1`; 0 = none) —
-    /// the rename map. Encoded as plain integers so the operand table in
-    /// [`source_ready_times`] can be reused to collect dependencies.
+    /// the rename map, snapshotted into each dispatched entry's [`Deps`].
     x_producer: [u64; NUM_REGS],
     f_producer: [u64; NUM_REGS],
     muldiv_busy_until: u64,
-    outstanding_stores: HashSet<u64>,
-    outstanding_loads: usize,
+    /// Ids of committed stores awaiting their memory response, ascending
+    /// (ids are allocated in commit order); at most `store_buffer`.
+    outstanding_stores: Vec<u64>,
+    /// Lists derived from the ROB (not checkpointed).
+    sched: Sched,
     next_mem_id: u64,
     stats: CoreStats,
     halted_fetch: bool,
@@ -177,8 +238,8 @@ impl BigCore {
             x_producer: [0; NUM_REGS],
             f_producer: [0; NUM_REGS],
             muldiv_busy_until: 0,
-            outstanding_stores: HashSet::new(),
-            outstanding_loads: 0,
+            outstanding_stores: Vec::new(),
+            sched: Sched::default(),
             next_mem_id: 0,
             stats: CoreStats::default(),
             // Idle until assigned work (matches the little core).
@@ -244,7 +305,8 @@ impl BigCore {
         self.drain_memory(now, hier);
         if let Some(e) = engine.as_deref_mut() {
             while let Some(seq) = e.pop_scalar_done() {
-                if let Some(entry) = self.rob.iter_mut().find(|en| en.seq == seq) {
+                if let Some(idx) = self.rob_index(seq) {
+                    let entry = &mut self.rob[idx];
                     debug_assert_eq!(entry.state, EState::WaitVectorResult);
                     entry.state = EState::Done;
                 }
@@ -254,6 +316,8 @@ impl BigCore {
         let committed = self.commit(now, hier, engine.as_deref_mut());
         self.issue(now, hier);
         self.dispatch(now, hier, engine);
+        #[cfg(debug_assertions)]
+        self.check_sched();
 
         if self.halted {
             return;
@@ -276,43 +340,81 @@ impl BigCore {
         self.fetch.drain_responses(hier);
         while let Some(resp) = hier.pop_response(PortId::BigData) {
             if resp.is_store {
-                self.outstanding_stores.remove(&resp.id);
+                let pos = self.outstanding_stores.binary_search(&resp.id);
+                debug_assert!(pos.is_ok(), "store response {} is unknown", resp.id);
+                if let Ok(pos) = pos {
+                    self.outstanding_stores.remove(pos);
+                }
             } else {
-                self.outstanding_loads = self.outstanding_loads.saturating_sub(1);
-                if let Some(entry) = self
-                    .rob
-                    .iter_mut()
-                    .find(|e| e.state == EState::WaitMem(resp.id))
-                {
-                    entry.state = EState::Done;
+                let pos = self.sched.loads.iter().position(|&(id, _)| id == resp.id);
+                debug_assert!(pos.is_some(), "load response {} is unknown", resp.id);
+                if let Some(pos) = pos {
+                    let (_, seq) = self.sched.loads.swap_remove(pos);
+                    let idx = self.rob_index(seq).expect("in-flight load is in the ROB");
+                    self.rob[idx].state = EState::Done;
                 }
             }
         }
     }
 
     fn sweep_executing(&mut self, now: u64) {
-        for entry in &mut self.rob {
-            if let EState::Executing(done) = entry.state {
-                if done <= now {
-                    entry.state = EState::Done;
-                }
+        let Some(base) = self.rob.front().map(|e| e.seq) else {
+            return;
+        };
+        let rob = &mut self.rob;
+        self.sched.executing.retain(|&(done, seq)| {
+            if done > now {
+                return true;
             }
-        }
+            rob[(seq - base) as usize].state = EState::Done;
+            false
+        });
+    }
+
+    /// ROB index of the entry with sequence number `seq`, if it is in the
+    /// ROB. Seqs are contiguous, so this is an offset from the head.
+    fn rob_index(&self, seq: u64) -> Option<usize> {
+        let idx = usize::try_from(seq.checked_sub(self.rob.front()?.seq)?).ok()?;
+        (idx < self.rob.len()).then_some(idx)
+    }
+
+    fn line_mask(&self) -> u64 {
+        !(self.line_bytes - 1)
+    }
+
+    /// True if a scalar store older than `seq` writes the line of `addr`
+    /// (store→load ordering at line granularity).
+    fn older_store_to_line(&self, seq: u64, addr: u64) -> bool {
+        let line = addr & self.line_mask();
+        self.sched
+            .store_lines
+            .iter()
+            .take_while(|&&(s, _)| s < seq)
+            .any(|&(_, l)| l == line)
+    }
+
+    /// Debug-build oracle: the scheduler lists equal a fresh rebuild from
+    /// the ROB (up to the order of the issue-ordered lists), and the store
+    /// buffer is ascending and within its size.
+    #[cfg(debug_assertions)]
+    fn check_sched(&self) {
+        let mut live = self.sched.clone();
+        live.executing.sort_unstable_by_key(|&(_, seq)| seq);
+        live.loads.sort_unstable_by_key(|&(_, seq)| seq);
+        assert_eq!(
+            live,
+            Sched::rebuild(&self.rob, self.line_mask()),
+            "big-core scheduler lists diverged from the ROB"
+        );
+        assert!(self.outstanding_stores.len() <= self.params.store_buffer);
+        assert!(self.outstanding_stores.windows(2).all(|w| w[0] < w[1]));
     }
 
     /// True once producer `seq` has its result available (committed, or in
     /// the ROB with state `Done`).
     fn dep_completed(&self, seq: u64) -> bool {
-        match self.rob.front() {
-            None => true,
-            Some(front) if seq < front.seq => true, // already committed
-            _ => {
-                let base = self.rob.front().expect("non-empty").seq;
-                let idx = (seq - base) as usize;
-                debug_assert_eq!(self.rob[idx].seq, seq, "ROB seqs are contiguous");
-                self.rob[idx].state == EState::Done
-            }
-        }
+        self.rob_index(seq)
+            .is_none_or(|idx| self.rob[idx].state == EState::Done)
     }
 
     fn commit<E: VectorEngine + ?Sized>(
@@ -383,7 +485,9 @@ impl BigCore {
                         if !hier.request(req) {
                             break;
                         }
-                        self.outstanding_stores.insert(self.next_mem_id);
+                        self.outstanding_stores.push(self.next_mem_id);
+                        let line = self.sched.store_lines.pop_front();
+                        debug_assert_eq!(line.map(|(seq, _)| seq), Some(head.seq));
                     }
                     let entry = self.rob.pop_front().expect("head exists");
                     if entry.info.halted {
@@ -399,95 +503,105 @@ impl BigCore {
         committed
     }
 
+    /// Issues `Waiting` entries oldest first, up to the issue width. Only
+    /// stores turn `Done` during a pass and no entry depends on a store, so
+    /// no entry's readiness changes mid-pass.
     fn issue(&mut self, now: u64, hier: &mut MemHierarchy) {
-        let mut alu = self.params.fu_alu;
-        let mut fpu = self.params.fu_fpu;
-        let mut mem = self.params.fu_mem;
-        let mut issued = 0;
-        // Collect older-store lines once for store->load ordering.
-        let line_mask = !(hier.line_bytes() - 1);
-        for i in 0..self.rob.len() {
-            if issued >= self.params.issue_width {
-                break;
-            }
-            if self.rob[i].state != EState::Waiting {
-                continue;
-            }
-            let im = *self.pre.at(self.rob[i].info.pc);
-            if im.is_vector {
-                // Vector instructions wait for the ROB head.
-                continue;
-            }
-            // Sources ready? (All producer seqs completed.)
-            let hazard = self.rob[i].deps.iter().any(|d| !self.dep_completed(d));
-            if hazard {
-                continue;
-            }
-            let meta = im.meta;
-            match meta.fu {
-                FuClass::Alu | FuClass::Branch | FuClass::None => {
-                    if alu == 0 {
-                        continue;
-                    }
-                    alu -= 1;
-                    self.rob[i].state = EState::Executing(now + u64::from(meta.latency));
-                }
-                FuClass::MulDiv => {
-                    if self.muldiv_busy_until > now {
-                        continue;
-                    }
-                    self.muldiv_busy_until = now + u64::from(meta.latency);
-                    self.rob[i].state = EState::Executing(now + u64::from(meta.latency));
-                }
-                FuClass::Fpu => {
-                    if fpu == 0 {
-                        continue;
-                    }
-                    fpu -= 1;
-                    self.rob[i].state = EState::Executing(now + u64::from(meta.latency));
-                }
-                FuClass::Mem => {
-                    if self.rob[i].is_store {
-                        // Stores "execute" by having their sources ready;
-                        // the request goes out at commit.
-                        self.rob[i].state = EState::Done;
-                        continue;
-                    }
-                    if mem == 0 || self.outstanding_loads >= self.params.load_queue {
-                        continue;
-                    }
-                    let addr_line = self.rob[i].info.mem[0].addr & line_mask;
-                    // Store->load ordering at line granularity.
-                    let blocked = self.rob.iter().take(i).any(|e| {
-                        e.is_store
-                            && !e.info.mem.is_empty()
-                            && e.info.mem[0].addr & line_mask == addr_line
-                    });
-                    if blocked {
-                        continue;
-                    }
-                    let acc = self.rob[i].info.mem[0];
-                    self.next_mem_id += 1;
-                    let req = MemReq {
-                        id: self.next_mem_id,
-                        addr: acc.addr,
-                        size: acc.size,
-                        is_store: false,
-                        kind: AccessKind::Data,
-                        port: PortId::BigData,
-                    };
-                    if !hier.request(req) {
-                        mem = 0; // port saturated this cycle
-                        continue;
-                    }
-                    mem -= 1;
-                    self.outstanding_loads += 1;
-                    self.rob[i].state = EState::WaitMem(self.next_mem_id);
-                }
-                FuClass::Vector => unreachable!("vector handled above"),
-            }
-            issued += 1;
+        debug_assert_eq!(hier.line_bytes(), self.line_bytes);
+        let mut slots = Slots {
+            alu: self.params.fu_alu,
+            fpu: self.params.fu_fpu,
+            mem: self.params.fu_mem,
+            issued: 0,
+        };
+        let mut waiting = std::mem::take(&mut self.sched.waiting);
+        waiting.retain(|&seq| {
+            slots.issued >= self.params.issue_width || !self.try_issue(seq, now, hier, &mut slots)
+        });
+        self.sched.waiting = waiting;
+    }
+
+    /// Tries to issue the `Waiting` entry `seq`; true once it has left
+    /// `Waiting`.
+    fn try_issue(
+        &mut self,
+        seq: u64,
+        now: u64,
+        hier: &mut MemHierarchy,
+        slots: &mut Slots,
+    ) -> bool {
+        let idx = self.rob_index(seq).expect("waiting entry is in the ROB");
+        let im = *self.pre.at(self.rob[idx].info.pc);
+        if im.is_vector {
+            // Vector instructions wait for the ROB head.
+            return false;
         }
+        // Sources ready? (All producer seqs completed.)
+        if self.rob[idx].deps.iter().any(|d| !self.dep_completed(d)) {
+            return false;
+        }
+        let meta = im.meta;
+        let state = match meta.fu {
+            FuClass::Alu | FuClass::Branch | FuClass::None => {
+                if slots.alu == 0 {
+                    return false;
+                }
+                slots.alu -= 1;
+                EState::Executing(now + u64::from(meta.latency))
+            }
+            FuClass::MulDiv => {
+                if self.muldiv_busy_until > now {
+                    return false;
+                }
+                self.muldiv_busy_until = now + u64::from(meta.latency);
+                EState::Executing(now + u64::from(meta.latency))
+            }
+            FuClass::Fpu => {
+                if slots.fpu == 0 {
+                    return false;
+                }
+                slots.fpu -= 1;
+                EState::Executing(now + u64::from(meta.latency))
+            }
+            FuClass::Mem => {
+                if self.rob[idx].is_store {
+                    // Stores "execute" by having their sources ready; the
+                    // request goes out at commit. Not an issue slot.
+                    self.rob[idx].state = EState::Done;
+                    return true;
+                }
+                if slots.mem == 0 || self.sched.loads.len() >= self.params.load_queue {
+                    return false;
+                }
+                let acc = self.rob[idx].info.mem[0];
+                if self.older_store_to_line(seq, acc.addr) {
+                    return false;
+                }
+                self.next_mem_id += 1;
+                let req = MemReq {
+                    id: self.next_mem_id,
+                    addr: acc.addr,
+                    size: acc.size,
+                    is_store: false,
+                    kind: AccessKind::Data,
+                    port: PortId::BigData,
+                };
+                if !hier.request(req) {
+                    slots.mem = 0; // port saturated this cycle
+                    return false;
+                }
+                slots.mem -= 1;
+                self.sched.loads.push((self.next_mem_id, seq));
+                EState::WaitMem(self.next_mem_id)
+            }
+            FuClass::Vector => unreachable!("vector handled above"),
+        };
+        if let EState::Executing(done) = state {
+            self.sched.executing.push((done, seq));
+        }
+        self.rob[idx].state = state;
+        slots.issued += 1;
+        true
     }
 
     fn dispatch<E: VectorEngine + ?Sized>(
@@ -555,8 +669,13 @@ impl BigCore {
             let state = if is_vector {
                 EState::WaitVector
             } else {
+                self.sched.waiting.push(self.next_seq);
                 EState::Waiting
             };
+            if is_store {
+                let line = info.mem[0].addr & self.line_mask();
+                self.sched.store_lines.push_back((self.next_seq, line));
+            }
             self.rob.push_back(RobEntry {
                 seq: self.next_seq,
                 info,
@@ -627,53 +746,42 @@ impl BigCore {
 
         // Issue side: Executing completions are exact internal deadlines;
         // a Waiting entry with complete deps may act this cycle.
-        let line_mask = !(self.line_bytes - 1);
-        for (i, e) in self.rob.iter().enumerate() {
-            match e.state {
-                EState::Executing(done) => {
-                    if done <= now {
+        for &(done, _) in &self.sched.executing {
+            if done <= now {
+                return Quiescence::Active;
+            }
+            fold(&mut until, done);
+        }
+        for &seq in &self.sched.waiting {
+            let e = &self.rob[self.rob_index(seq).expect("waiting entry is in the ROB")];
+            let im = self.pre.at(e.info.pc);
+            if im.is_vector {
+                continue; // dispatched from the head (commit side)
+            }
+            if e.deps.iter().any(|d| !self.dep_completed(d)) {
+                continue; // wakes on a producer's event, folded above
+            }
+            match im.meta.fu {
+                FuClass::MulDiv => {
+                    if self.muldiv_busy_until <= now {
                         return Quiescence::Active;
                     }
-                    fold(&mut until, done);
+                    fold(&mut until, self.muldiv_busy_until);
                 }
-                EState::Waiting => {
-                    let im = self.pre.at(e.info.pc);
-                    if im.is_vector {
-                        continue; // dispatched from the head (commit side)
+                FuClass::Mem => {
+                    if e.is_store {
+                        return Quiescence::Active; // marks itself Done
                     }
-                    if e.deps.iter().any(|d| !self.dep_completed(d)) {
-                        continue; // wakes on a producer's event, folded above
+                    if self.sched.loads.len() >= self.params.load_queue {
+                        continue; // frees on an external response
                     }
-                    match im.meta.fu {
-                        FuClass::MulDiv => {
-                            if self.muldiv_busy_until <= now {
-                                return Quiescence::Active;
-                            }
-                            fold(&mut until, self.muldiv_busy_until);
-                        }
-                        FuClass::Mem => {
-                            if e.is_store {
-                                return Quiescence::Active; // marks itself Done
-                            }
-                            if self.outstanding_loads >= self.params.load_queue {
-                                continue; // frees on an external response
-                            }
-                            let addr_line = e.info.mem[0].addr & line_mask;
-                            let blocked = self.rob.iter().take(i).any(|o| {
-                                o.is_store
-                                    && !o.info.mem.is_empty()
-                                    && o.info.mem[0].addr & line_mask == addr_line
-                            });
-                            if blocked {
-                                continue; // clears at commit (head-driven)
-                            }
-                            return Quiescence::Active; // would request the L1D
-                        }
-                        // ALU/branch/FP slots refresh every cycle.
-                        _ => return Quiescence::Active,
+                    if self.older_store_to_line(seq, e.info.mem[0].addr) {
+                        continue; // clears at commit (head-driven)
                     }
+                    return Quiescence::Active; // would request the L1D
                 }
-                _ => {}
+                // ALU/branch/FP slots refresh every cycle.
+                _ => return Quiescence::Active,
             }
         }
 
@@ -717,7 +825,10 @@ impl BigCore {
     /// Appends the core's mutable state (machine, front-end, ROB, rename
     /// maps, LSQ tracking, stats) to a checkpoint. Configuration
     /// (`params`, program, ports) is not written — a restore target is
-    /// built from the same [`BigCore::new`] arguments.
+    /// built from the same [`BigCore::new`] arguments — and neither are
+    /// the scheduler lists, which restore rebuilds from the ROB. The
+    /// in-flight load count is written for the format's sake; it always
+    /// equals the number of `WaitMem` entries.
     pub fn save_state(&self, w: &mut SnapWriter) {
         self.machine.save_state(w);
         self.fetch.save_state(w);
@@ -726,12 +837,8 @@ impl BigCore {
         self.x_producer.save(w);
         self.f_producer.save(w);
         self.muldiv_busy_until.save(w);
-        // HashSet iteration is nondeterministic: encode sorted so equal
-        // states always produce identical bytes.
-        let mut stores: Vec<u64> = self.outstanding_stores.iter().copied().collect();
-        stores.sort_unstable();
-        stores.save(w);
-        self.outstanding_loads.save(w);
+        self.outstanding_stores.save(w);
+        self.sched.loads.len().save(w);
         self.next_mem_id.save(w);
         self.stats.save(w);
         self.halted_fetch.save(w);
@@ -743,34 +850,60 @@ impl BigCore {
     ///
     /// # Errors
     ///
-    /// Fails with a [`SnapError`] on malformed input or a ROB larger than
-    /// this core's configuration allows.
+    /// Fails with a [`SnapError`] on malformed input: a ROB larger than
+    /// this core's configuration allows, with gaps in its seqs or with a
+    /// store that has no access, a store buffer that is overfull or not
+    /// ascending, or a load count that does not match the ROB.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let corrupt = |what: String| Err(SnapError::Corrupt { what });
         self.machine.restore_state(r)?;
         self.fetch.restore_state(r)?;
         let rob: VecDeque<RobEntry> = Snap::load(r)?;
         if rob.len() > self.params.rob_size {
-            return Err(SnapError::Corrupt {
-                what: format!(
-                    "checkpoint ROB holds {} entries, core has {}",
-                    rob.len(),
-                    self.params.rob_size
-                ),
-            });
+            return corrupt(format!(
+                "checkpoint ROB holds {} entries, core has {}",
+                rob.len(),
+                self.params.rob_size
+            ));
         }
+        if rob
+            .iter()
+            .zip(rob.iter().skip(1))
+            .any(|(a, b)| a.seq.checked_add(1) != Some(b.seq))
+        {
+            return corrupt("checkpoint ROB seqs are not contiguous".into());
+        }
+        if rob.iter().any(|e| e.is_store && e.info.mem.is_empty()) {
+            return corrupt("checkpoint ROB holds a store without an access".into());
+        }
+        self.sched = Sched::rebuild(&rob, self.line_mask());
         self.rob = rob;
         self.next_seq = Snap::load(r)?;
         self.x_producer = Snap::load(r)?;
         self.f_producer = Snap::load(r)?;
         self.muldiv_busy_until = Snap::load(r)?;
         let stores: Vec<u64> = Snap::load(r)?;
-        self.outstanding_stores = stores.into_iter().collect();
-        self.outstanding_loads = Snap::load(r)?;
+        if stores.len() > self.params.store_buffer || stores.windows(2).any(|w| w[0] >= w[1]) {
+            return corrupt(format!(
+                "checkpoint store buffer {stores:?} is not ascending within {} entries",
+                self.params.store_buffer
+            ));
+        }
+        self.outstanding_stores = stores;
+        let loads: usize = Snap::load(r)?;
+        if loads != self.sched.loads.len() {
+            return corrupt(format!(
+                "checkpoint counts {loads} loads in flight, its ROB {}",
+                self.sched.loads.len()
+            ));
+        }
         self.next_mem_id = Snap::load(r)?;
         self.stats = Snap::load(r)?;
         self.halted_fetch = Snap::load(r)?;
         self.halted = Snap::load(r)?;
         self.stall_dispatch_until = Snap::load(r)?;
+        #[cfg(debug_assertions)]
+        self.check_sched();
         Ok(())
     }
 }
@@ -1030,6 +1163,142 @@ mod tests {
             }
         }
         panic!("core did not finish");
+    }
+
+    /// Restore oracle for the checkpointed state and the scheduler lists
+    /// rebuilt from it: a core + hierarchy saved at any cycle and restored
+    /// into fresh ones finishes exactly like the straight run.
+    #[test]
+    fn restore_at_every_cycle_matches_straight_run() {
+        let mut a = Assembler::new();
+        a.li(x(1), 0x2000);
+        a.li(x(2), 5);
+        a.li(x(5), 7);
+        a.li(x(8), 0);
+        a.li(x(9), 3);
+        a.label("loop");
+        a.sw(x(2), x(1), 0);
+        a.lw(x(3), x(1), 4); // same line as the older store: ordered
+        a.lw(x(10), x(1), 64); // next line: free to pass the store
+        a.div(x(6), x(3), x(5));
+        a.div(x(7), x(6), x(5)); // serialized divides
+        a.add(x(2), x(2), x(7));
+        a.sw(x(10), x(1), 128);
+        a.addi(x(8), x(8), 1);
+        a.bne(x(8), x(9), "loop"); // mispredicted on exit
+        a.beq(x(8), x(9), "out"); // forward taken: mispredicted
+        a.addi(x(2), x(2), 1);
+        a.label("out");
+        a.halt();
+        let prog = Arc::new(a.assemble().unwrap());
+        let fresh = |mem: SimMemory| {
+            let shared = SharedMem::new(mem);
+            let hier = MemHierarchy::new(HierConfig::with_little(0));
+            let core = BigCore::new(
+                shared.clone(),
+                Arc::clone(&prog),
+                TEXT_BASE,
+                hier.line_bytes(),
+                64,
+                BigParams::default(),
+            );
+            (core, hier, shared)
+        };
+        let finish = |core: &mut BigCore, hier: &mut MemHierarchy, from: u64| {
+            for t in from..100_000 {
+                hier.tick(t);
+                core.tick(t, hier, None);
+                if core.done() {
+                    return t;
+                }
+            }
+            panic!("big core did not finish");
+        };
+
+        let (mut core, mut hier, _) = fresh(SimMemory::new(1 << 16));
+        core.assign(0);
+        let end = finish(&mut core, &mut hier, 0);
+        let want = (*core.stats(), end);
+        assert!(want.0.mispredicts >= 2, "{:?}", want.0);
+
+        let (mut core, mut hier, shared) = fresh(SimMemory::new(1 << 16));
+        core.assign(0);
+        for t in 0..=end {
+            let mut w = SnapWriter::new();
+            core.save_state(&mut w);
+            hier.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let (mut c2, mut h2, _) = fresh(shared.with(SimMemory::fork));
+            let mut r = SnapReader::new(&bytes);
+            c2.restore_state(&mut r).unwrap();
+            h2.restore_state(&mut r).unwrap();
+            r.finish().unwrap();
+            let got = finish(&mut c2, &mut h2, t);
+            assert_eq!((*c2.stats(), got), want, "restored at cycle {t}");
+
+            hier.tick(t);
+            core.tick(t, &mut hier, None);
+        }
+        assert!(core.done());
+    }
+
+    /// Checkpoint fields the scheduler relies on are validated on restore:
+    /// a corrupt ROB, store buffer or load count is a typed error.
+    #[test]
+    fn restore_rejects_inconsistent_state() {
+        let mut a = Assembler::new();
+        a.li(x(1), 0x2000);
+        a.lw(x(2), x(1), 0);
+        a.sw(x(2), x(1), 64);
+        a.addi(x(3), x(2), 1);
+        a.halt();
+        let prog = Arc::new(a.assemble().unwrap());
+        let fresh = || {
+            let hier = MemHierarchy::new(HierConfig::with_little(0));
+            let core = BigCore::new(
+                SharedMem::new(SimMemory::new(1 << 16)),
+                Arc::clone(&prog),
+                TEXT_BASE,
+                hier.line_bytes(),
+                64,
+                BigParams::default(),
+            );
+            (core, hier)
+        };
+        let (mut core, mut hier) = fresh();
+        core.assign(0);
+        let mut t = 0;
+        while core.sched.loads.is_empty() || core.rob.len() < 3 {
+            hier.tick(t);
+            core.tick(t, &mut hier, None);
+            t += 1;
+        }
+        let restore = |core: &BigCore| {
+            let mut w = SnapWriter::new();
+            core.save_state(&mut w);
+            let bytes = w.into_bytes();
+            fresh().0.restore_state(&mut SnapReader::new(&bytes))
+        };
+        assert!(restore(&core).is_ok());
+        let corruptions: [fn(&mut BigCore); 5] = [
+            |c| c.rob[1].seq += 5,
+            |c| c.outstanding_stores = vec![4, 3],
+            |c| c.outstanding_stores = vec![2, 2],
+            |c| c.outstanding_stores = (1..=9).collect(),
+            |c| c.sched.loads.push((99, 0)),
+        ];
+        for (i, corrupt) in corruptions.iter().enumerate() {
+            let (mut bad, _) = fresh();
+            let mut w = SnapWriter::new();
+            core.save_state(&mut w);
+            bad.restore_state(&mut SnapReader::new(&w.into_bytes()))
+                .unwrap();
+            corrupt(&mut bad);
+            assert!(
+                matches!(restore(&bad), Err(SnapError::Corrupt { .. })),
+                "corruption {i} accepted"
+            );
+        }
     }
 
     #[test]

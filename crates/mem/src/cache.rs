@@ -161,6 +161,10 @@ pub struct Cache {
     stats: CacheStats,
     /// Max requests merged per MSHR before backpressure.
     mshr_targets: usize,
+    /// `log2(line_bytes)`: shifts a line address down to its line number.
+    line_shift: u32,
+    /// `num_sets - 1`: selects the set index from a line number.
+    set_mask: u64,
 }
 
 impl Cache {
@@ -191,6 +195,8 @@ impl Cache {
             accepts_this_cycle: 0,
             stats: CacheStats::default(),
             mshr_targets: 8,
+            line_shift: params.line_bytes.trailing_zeros(),
+            set_mask: sets - 1,
         }
     }
 
@@ -219,7 +225,7 @@ impl Cache {
     /// exactly this reason).
     fn locate(&self, addr: u64) -> (usize, u64) {
         let line = self.line_addr(addr);
-        let set = (line / self.params.line_bytes) % self.params.num_sets();
+        let set = (line >> self.line_shift) & self.set_mask;
         (set as usize, line)
     }
 
@@ -462,7 +468,8 @@ impl Cache {
     }
 
     /// Restores state written by [`Cache::save_state`] into this cache.
-    /// The configuration (`params`, `mshr_targets`) is kept — the caller
+    /// The configuration (`params`, `mshr_targets`, the set-index shift and
+    /// mask) is kept — the caller
     /// rebuilds it from the run parameters — and the restored geometry
     /// must match it.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
